@@ -82,25 +82,38 @@ func waitMeta(ctx context.Context, dir string, poll time.Duration) (scenario.Met
 	}
 }
 
-// waitRoster polls Scan until every roster radio has at least one sealed
-// segment, so the trace set fixed by TraceSet() covers the deployment.
-func waitRoster(ctx context.Context, ts *tracefile.TailSet, roster []int32, poll time.Duration) error {
+// waitRoster polls Scan until the trace set TraceSet() fixes can cover the
+// deployment: every roster radio has a sealed segment, or some radio has
+// sealed its second (a full rotation period has passed, so a radio with
+// none yet is silent), or the capture is done. It returns the roster
+// radios left out for having sealed nothing, and fails, naming them, if
+// the capture ended with no radio sealed at all.
+func waitRoster(ctx context.Context, ts *tracefile.TailSet, roster []int32, poll time.Duration) (silent []int32, err error) {
 	for {
 		if _, err := ts.Scan(); err != nil {
-			return fmt.Errorf("scanning capture dir: %w", err)
+			return nil, fmt.Errorf("scanning capture dir: %w", err)
 		}
-		ready := 0
+		silent = silent[:0]
+		rotated := false
 		for _, r := range roster {
-			if ts.SealedSegments(r) > 0 {
-				ready++
+			switch n := ts.SealedSegments(r); {
+			case n == 0:
+				silent = append(silent, r)
+			case n >= 2:
+				rotated = true
 			}
 		}
-		if ready == len(roster) {
-			return nil
+		done := ts.Done()
+		if done && len(silent) == len(roster) {
+			return nil, fmt.Errorf("capture ended before any radio sealed a segment (radios %v)", roster)
+		}
+		if len(silent) == 0 || rotated || done {
+			return silent, nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("interrupted waiting for first sealed segment (%d/%d radios ready)", ready, len(roster))
+			return nil, fmt.Errorf("interrupted waiting for first sealed segment (%d/%d radios ready)",
+				len(roster)-len(silent), len(roster))
 		case <-time.After(poll):
 		}
 	}
@@ -121,9 +134,14 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 	log.Printf("capture %s: %d radios, %d APs", dir, len(roster), len(meta.APs))
 
 	tail := tracefile.NewTailSet(dir)
-	if err := waitRoster(ctx, tail, roster, poll); err != nil {
+	silent, err := waitRoster(ctx, tail, roster, poll)
+	if err != nil {
 		return err
 	}
+	if len(silent) > 0 {
+		log.Printf("leaving out %d silent radios (no sealed segment): %v", len(silent), silent)
+	}
+	set := tail.TraceSet()
 
 	// Passes over the live stream: same registry and parameters as
 	// jiganalyze directory mode (no simulator ground truth available).
@@ -153,7 +171,7 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 
 	srv := &http.Server{
 		Addr:    addr,
-		Handler: serve.NewServer(mon, serve.Info{Dir: dir, Radios: roster}),
+		Handler: serve.NewServer(mon, serve.Info{Dir: dir, Radios: set.Radios()}),
 	}
 	httpErr := make(chan error, 1)
 	go func() {
@@ -192,7 +210,7 @@ func run(ctx context.Context, dir, addr string, window, slack, poll time.Duratio
 	ccfg.Workers = 1 // serial path: required for live result snapshots
 	ccfg.SnapshotEveryUS = window.Microseconds()
 	ccfg.Passes = []core.Pass{mon}
-	res, err := core.RunFrom(tail.TraceSet(), meta.ClockGroups, ccfg, nil)
+	res, err := core.RunFrom(set, meta.ClockGroups, ccfg, nil)
 	if err != nil {
 		_ = srv.Close() // tearing down on a fatal pipeline error
 		return fmt.Errorf("pipeline: %w", err)

@@ -15,7 +15,8 @@ func FuzzIntermediateReader(f *testing.F) {
 	f.Add(valid[:len(valid)/2]) // truncated mid-block
 	f.Add(valid[:8])            // stream header only
 	f.Add(valid[:20])           // truncated block header
-	f.Add(append([]byte("JFS1"), 1, 0, 0, 0))
+	f.Add(append([]byte("JFS1"), 2, 0, 0, 0))
+	f.Add(append([]byte("JFS1"), 1, 0, 0, 0)) // version 1 (DEFLATE)
 	f.Add(bytes.Repeat([]byte{0}, 64))
 	corrupt := append([]byte(nil), valid...)
 	corrupt[40] ^= 0xff // damage the compressed payload
@@ -24,7 +25,7 @@ func FuzzIntermediateReader(f *testing.F) {
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0x7f // absurd compLen
 	f.Add(huge)
 	rawLie := append([]byte(nil), valid...)
-	rawLie[16] ^= 0x55 // claimed raw length disagrees with the deflate body
+	rawLie[16] ^= 0x55 // claimed raw length disagrees with the LZ block body
 	f.Add(rawLie)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

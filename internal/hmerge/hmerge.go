@@ -18,32 +18,42 @@
 // the Writer enforces at encode time. core.RunHierarchical drives the
 // ordinary reconstruction/transport/pass pipeline over that sequence.
 //
-// The container mirrors the tracefile format's: DEFLATE blocks around a
-// 64 KB raw target, each with a length-checked header, so the reader
-// streams one block at a time and a corrupt or hostile header cannot demand
-// unbounded allocation.
+// The container mirrors the tracefile format's: lzblock-compressed blocks
+// around a 64 KB raw target, each with a length-checked header, so the
+// reader streams one block at a time and a corrupt or hostile header cannot
+// demand unbounded allocation.
 package hmerge
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/dot80211"
-	"repro/internal/flatepool"
+	"repro/internal/lzblock"
 	"repro/internal/unify"
 )
 
 // Stream-level and block-level magic. The stream header is written once,
 // ahead of the first block; every block repeats the block magic so a reader
-// resynchronizing mid-file fails loudly instead of misparsing.
+// resynchronizing mid-file fails loudly instead of misparsing. The stream
+// header's version byte follows the magic: version 2 compresses blocks with
+// lzblock. Version 1 (block magic blockMagicV1) used DEFLATE and is
+// recognized only to name it in the error.
 var (
-	streamMagic = [4]byte{'J', 'F', 'S', '1'}
-	blockMagic  = [4]byte{'J', 'F', 'S', 'B'}
+	streamMagic  = [4]byte{'J', 'F', 'S', '1'}
+	blockMagic   = [4]byte{'J', 'F', 'B', '2'}
+	blockMagicV1 = [4]byte{'J', 'F', 'S', 'B'}
 )
+
+// streamVersion is the format version this package writes and reads.
+const streamVersion = 2
+
+// errVersion1 reports a .jfs stream written in version 1 of the format,
+// whose blocks are DEFLATE-compressed.
+var errVersion1 = errors.New("hmerge: version-1 (DEFLATE) stream: this build reads only version-2 (LZ) streams; re-run the unify step to regenerate it")
 
 // jframe record flags.
 const (
@@ -85,7 +95,7 @@ const instPrealloc = 256
 type Writer struct {
 	w       io.Writer
 	buf     bytes.Buffer
-	comp    bytes.Buffer // reused compressed-block scratch
+	comp    []byte // reused compressed-block scratch
 	count   int32
 	firstUS int64
 	lastUS  int64
@@ -102,7 +112,7 @@ type Writer struct {
 func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [8]byte
 	copy(hdr[0:4], streamMagic[:])
-	hdr[4] = 1 // version
+	hdr[4] = streamVersion
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("hmerge: stream header: %w", err)
 	}
@@ -180,26 +190,17 @@ func (w *Writer) flushBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	w.comp.Reset()
-	fw := flatepool.GetWriter(&w.comp)
-	if _, err := fw.Write(w.buf.Bytes()); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	flatepool.PutWriter(fw)
-	comp := &w.comp
+	w.comp = lzblock.Compress(w.comp[:0], w.buf.Bytes())
 	var bh [24]byte
 	copy(bh[0:4], blockMagic[:])
-	binary.LittleEndian.PutUint32(bh[4:8], uint32(comp.Len()))
+	binary.LittleEndian.PutUint32(bh[4:8], uint32(len(w.comp)))
 	binary.LittleEndian.PutUint32(bh[8:12], uint32(w.buf.Len()))
 	binary.LittleEndian.PutUint32(bh[12:16], uint32(w.count))
 	binary.LittleEndian.PutUint64(bh[16:24], uint64(w.firstUS))
 	if _, err := w.w.Write(bh[:]); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(comp.Bytes()); err != nil {
+	if _, err := w.w.Write(w.comp); err != nil {
 		return err
 	}
 	w.buf.Reset()
@@ -228,11 +229,9 @@ func (w *Writer) Close() error {
 // frame's own storage, so frames are independent of the reader.
 type Reader struct {
 	r       io.Reader
-	comp    []byte       // reused compressed-block buffer
-	compRd  bytes.Reader // reused reader over comp
-	raw     []byte       // reused decompressed-block buffer
-	pos     int          // parse cursor into raw
-	fr      io.ReadCloser
+	comp    []byte // reused compressed-block buffer
+	raw     []byte // reused decompressed-block buffer
+	pos     int    // parse cursor into raw
 	started bool
 	lastUS  int64
 	haveUS  bool
@@ -241,13 +240,6 @@ type Reader struct {
 
 // NewReader wraps an intermediate stream for iteration.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// retire returns the pooled decompressor once the stream has ended; the
-// reader is latched on t.err by then.
-func (t *Reader) retire() {
-	flatepool.PutReader(t.fr)
-	t.fr = nil
-}
 
 // Next returns the next jframe. io.EOF signals a clean end of stream; any
 // other error is a corrupt stream (intermediate files are pipeline-owned,
@@ -266,14 +258,12 @@ func (t *Reader) Next() (*unify.JFrame, error) {
 	for t.pos >= len(t.raw) {
 		if err := t.loadBlock(); err != nil {
 			t.err = err
-			t.retire()
 			return nil, err
 		}
 	}
 	j, err := t.decodeRecord()
 	if err != nil {
 		t.err = err
-		t.retire()
 		return nil, err
 	}
 	// The format's contract: streams are sorted. Enforce on read too, so a
@@ -281,7 +271,6 @@ func (t *Reader) Next() (*unify.JFrame, error) {
 	if t.haveUS && j.UnivUS < t.lastUS {
 		t.err = fmt.Errorf("hmerge: stream out of order: %d after %d", j.UnivUS, t.lastUS)
 		j.Release()
-		t.retire()
 		return nil, t.err
 	}
 	t.lastUS, t.haveUS = j.UnivUS, true
@@ -299,10 +288,13 @@ func (t *Reader) readStreamHeader() error {
 	if [4]byte(hdr[0:4]) != streamMagic {
 		return errors.New("hmerge: bad stream magic")
 	}
-	if hdr[4] != 1 {
-		return fmt.Errorf("hmerge: unsupported stream version %d", hdr[4])
+	switch hdr[4] {
+	case streamVersion:
+		return nil
+	case 1:
+		return errVersion1
 	}
-	return nil
+	return fmt.Errorf("hmerge: unsupported stream version %d", hdr[4])
 }
 
 // loadBlock reads and decompresses the next block, with the tracefile
@@ -318,7 +310,11 @@ func (t *Reader) loadBlock() error {
 		}
 		return err
 	}
-	if [4]byte(bh[0:4]) != blockMagic {
+	switch [4]byte(bh[0:4]) {
+	case blockMagic:
+	case blockMagicV1:
+		return errVersion1
+	default:
 		return errors.New("hmerge: bad block magic")
 	}
 	compLen := binary.LittleEndian.Uint32(bh[4:8])
@@ -333,23 +329,12 @@ func (t *Reader) loadBlock() error {
 	if _, err := io.ReadFull(t.r, comp); err != nil {
 		return fmt.Errorf("hmerge: truncated block: %w", err)
 	}
-	t.compRd.Reset(comp)
-	if t.fr == nil {
-		t.fr = flatepool.GetReader(&t.compRd)
-	} else if err := t.fr.(flate.Resetter).Reset(&t.compRd, nil); err != nil {
-		return fmt.Errorf("hmerge: decompress: %w", err)
-	}
 	if cap(t.raw) < int(rawLen) {
 		t.raw = make([]byte, rawLen)
 	}
 	t.raw = t.raw[:rawLen]
-	if _, err := io.ReadFull(t.fr, t.raw); err != nil {
+	if err := lzblock.Decompress(t.raw, comp); err != nil {
 		return fmt.Errorf("hmerge: decompress: %w", err)
-	}
-	// The decompressor must land exactly on the claimed length.
-	var probe [1]byte
-	if n, _ := t.fr.Read(probe[:]); n != 0 {
-		return fmt.Errorf("hmerge: block decompressed past %d claimed bytes", rawLen)
 	}
 	t.pos = 0
 	return nil

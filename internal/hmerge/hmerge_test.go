@@ -2,6 +2,7 @@ package hmerge
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -246,6 +247,25 @@ func TestMergeOrdering(t *testing.T) {
 			if _, err := m.Next(); err != io.EOF {
 				t.Fatalf("k=%d prefetch=%v: want io.EOF after merge, got %v", k, prefetch, err)
 			}
+		}
+	}
+}
+
+// TestReaderNamesVersion1: a stream written by the DEFLATE-era format
+// (testdata/v1-deflate.jfs, recorded by that build) fails with
+// errVersion1, and so does a version-1 block spliced into a version-2
+// stream.
+func TestReaderNamesVersion1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-deflate.jfs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, _ := encodeStream(t, synthFrames(3, 1))
+	spliced := append(append([]byte(nil), v2[:8]...), v1[8:]...)
+	for name, data := range map[string][]byte{"version-1 stream": v1, "version-1 block": spliced} {
+		r := NewReader(bytes.NewReader(data))
+		if _, err := r.Next(); !errors.Is(err, errVersion1) {
+			t.Errorf("%s: got %v, want errVersion1", name, err)
 		}
 	}
 }

@@ -1,21 +1,21 @@
 // Package tracefile implements the jigdump-style per-radio trace format:
 // the stream of physical-layer event records each monitor radio produces,
 // serialized in compressed blocks with a separate metadata index
-// (§3.3: jigdump reads 64 KB at a time, compresses with LZO — we use
-// DEFLATE from the standard library — and writes data and metadata index
-// separately, rotating files hourly).
+// (§3.3: jigdump reads 64 KB at a time, compresses with LZO — we use the
+// LZ-family block codec in internal/lzblock, which makes the same trade of
+// ratio for speed — and writes data and metadata index separately,
+// rotating files hourly).
 package tracefile
 
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
-	"repro/internal/flatepool"
+	"repro/internal/lzblock"
 )
 
 // Record flags.
@@ -71,8 +71,28 @@ const DefaultSnapLen = 228
 // mirroring jigdump's 64 KB reads.
 const blockTarget = 64 * 1024
 
-// magic identifies trace streams and blocks.
-var magic = [4]byte{'J', 'I', 'G', '1'}
+// magic identifies trace blocks and index files. Its last byte is the
+// format version: version 2 compresses blocks with lzblock.
+var magic = [4]byte{'J', 'I', 'G', '2'}
+
+// magicV1 marks the DEFLATE-compressed version 1 of the format, which this
+// reader no longer decodes; it is recognized only to name it in the error.
+var magicV1 = [4]byte{'J', 'I', 'G', '1'}
+
+// errVersion1 reports a trace or index file written in version 1 of the
+// format, whose blocks are DEFLATE-compressed.
+var errVersion1 = errors.New("tracefile: version-1 (DEFLATE) trace: this build reads only version-2 (LZ) traces")
+
+// checkMagic validates a block or index magic.
+func checkMagic(m [4]byte, what string) error {
+	switch m {
+	case magic:
+		return nil
+	case magicV1:
+		return errVersion1
+	}
+	return fmt.Errorf("tracefile: bad %s magic", what)
+}
 
 // IndexEntry describes one compressed block for the metadata index.
 type IndexEntry struct {
@@ -90,7 +110,7 @@ type Writer struct {
 	w       io.Writer
 	offset  int64
 	buf     bytes.Buffer // uncompressed pending records
-	comp    bytes.Buffer // reused compressed-block scratch
+	comp    []byte       // reused compressed-block scratch
 	count   int32
 	firstUS int64
 	lastUS  int64
@@ -150,34 +170,25 @@ func (w *Writer) flushBlock() error {
 	if w.count == 0 {
 		return nil
 	}
-	w.comp.Reset()
-	fw := flatepool.GetWriter(&w.comp)
-	if _, err := fw.Write(w.buf.Bytes()); err != nil {
-		return err
-	}
-	if err := fw.Close(); err != nil {
-		return err
-	}
-	flatepool.PutWriter(fw)
-	comp := &w.comp
+	w.comp = lzblock.Compress(w.comp[:0], w.buf.Bytes())
 	var bh [24]byte
 	copy(bh[0:4], magic[:])
-	binary.LittleEndian.PutUint32(bh[4:8], uint32(comp.Len()))
+	binary.LittleEndian.PutUint32(bh[4:8], uint32(len(w.comp)))
 	binary.LittleEndian.PutUint32(bh[8:12], uint32(w.buf.Len()))
 	binary.LittleEndian.PutUint32(bh[12:16], uint32(w.count))
 	binary.LittleEndian.PutUint64(bh[16:24], uint64(w.firstUS))
 	if _, err := w.w.Write(bh[:]); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(comp.Bytes()); err != nil {
+	if _, err := w.w.Write(w.comp); err != nil {
 		return err
 	}
 	w.index = append(w.index, IndexEntry{
 		Offset:  w.offset,
-		CompLen: int32(comp.Len()), RawLen: int32(w.buf.Len()),
+		CompLen: int32(len(w.comp)), RawLen: int32(w.buf.Len()),
 		Records: w.count, FirstLocalUS: w.firstUS, LastLocalUS: w.lastUS,
 	})
-	w.offset += int64(len(bh)) + int64(comp.Len())
+	w.offset += int64(len(bh)) + int64(len(w.comp))
 	w.buf.Reset()
 	w.count = 0
 	return nil
@@ -224,8 +235,8 @@ func ReadIndex(in io.Reader) ([]IndexEntry, error) {
 	if _, err := io.ReadFull(in, m[:]); err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, errors.New("tracefile: bad index magic")
+	if err := checkMagic(m, "index"); err != nil {
+		return nil, err
 	}
 	var n [4]byte
 	if _, err := io.ReadFull(in, n[:]); err != nil {
@@ -269,14 +280,12 @@ type BlockSlicer interface {
 // place: each returned Record's Frame aliases the reader's decompressed
 // block buffer and is only valid until the next call (see Record).
 type Reader struct {
-	r      io.Reader
-	sl     BlockSlicer // non-nil when r supports zero-copy block reads
-	comp   []byte      // reused compressed-block staging (nil-copy path)
-	compRd bytes.Reader
-	raw    []byte // reused decompressed block
-	pos    int    // parse cursor into raw
-	fr     io.ReadCloser
-	err    error
+	r    io.Reader
+	sl   BlockSlicer // non-nil when r supports zero-copy block reads
+	comp []byte      // reused compressed-block staging (copying path)
+	raw  []byte      // reused decompressed block
+	pos  int         // parse cursor into raw
+	err  error
 }
 
 // NewReader wraps a trace stream for record iteration.
@@ -300,14 +309,12 @@ func (t *Reader) Next() (Record, error) {
 	for t.pos >= len(t.raw) {
 		if err := t.loadBlock(); err != nil {
 			t.err = err
-			t.retire()
 			return rec, err
 		}
 	}
 	b := t.raw[t.pos:]
 	if len(b) < recHdrLen {
 		t.err = errors.New("tracefile: corrupt block: truncated record header")
-		t.retire()
 		return rec, t.err
 	}
 	rec.LocalUS = int64(binary.LittleEndian.Uint64(b[0:8]))
@@ -320,7 +327,6 @@ func (t *Reader) Next() (Record, error) {
 	n := int(binary.LittleEndian.Uint16(b[20:22]))
 	if len(b) < recHdrLen+n {
 		t.err = errors.New("tracefile: corrupt block: truncated frame")
-		t.retire()
 		return rec, t.err
 	}
 	if n > 0 {
@@ -328,13 +334,6 @@ func (t *Reader) Next() (Record, error) {
 	}
 	t.pos += recHdrLen + n
 	return rec, nil
-}
-
-// retire returns the pooled decompressor once the stream has ended; the
-// reader is latched on t.err by then.
-func (t *Reader) retire() {
-	flatepool.PutReader(t.fr)
-	t.fr = nil
 }
 
 // maxBlockLen bounds the compressed and uncompressed size a block header
@@ -355,8 +354,8 @@ func (t *Reader) loadBlock() error {
 		}
 		return err
 	}
-	if [4]byte(bh[0:4]) != magic {
-		return errors.New("tracefile: bad block magic")
+	if err := checkMagic([4]byte(bh[0:4]), "block"); err != nil {
+		return err
 	}
 	compLen := binary.LittleEndian.Uint32(bh[4:8])
 	rawLen := binary.LittleEndian.Uint32(bh[8:12])
@@ -380,26 +379,16 @@ func (t *Reader) loadBlock() error {
 		}
 		comp = t.comp
 	}
-	t.compRd.Reset(comp)
-	if t.fr == nil {
-		t.fr = flatepool.GetReader(&t.compRd)
-	} else if err := t.fr.(flate.Resetter).Reset(&t.compRd, nil); err != nil {
-		return fmt.Errorf("tracefile: decompress: %w", err)
-	}
 	if cap(t.raw) < int(rawLen) {
 		t.raw = make([]byte, rawLen)
 	}
 	t.raw = t.raw[:rawLen]
 	t.pos = 0
-	// The compressed payload must decompress to exactly the header's
-	// rawLen; probing one byte past it catches oversized payloads without
-	// letting a corrupt stream balloon the buffer.
-	if _, err := io.ReadFull(t.fr, t.raw); err != nil {
+	// The payload must decode to exactly the header's rawLen: the decoder
+	// writes only into raw and fails on a block that is short, long or
+	// followed by trailing bytes.
+	if err := lzblock.Decompress(t.raw, comp); err != nil {
 		return fmt.Errorf("tracefile: decompress: %w", err)
-	}
-	var probe [1]byte
-	if n, _ := t.fr.Read(probe[:]); n != 0 {
-		return fmt.Errorf("tracefile: block decompressed past %d-byte header claim", rawLen)
 	}
 	return nil
 }

@@ -2,8 +2,11 @@ package tracefile
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -159,7 +162,7 @@ func TestIndexOffsetsAddressBlocks(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for i, e := range idx {
-		if string(data[e.Offset:e.Offset+4]) != "JIG1" {
+		if string(data[e.Offset:e.Offset+4]) != "JIG2" {
 			t.Errorf("block %d offset %d does not start with magic", i, e.Offset)
 		}
 	}
@@ -215,6 +218,26 @@ func TestReaderBadMagic(t *testing.T) {
 	}
 	if _, err := ReadIndex(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00"))); err == nil {
 		t.Error("bad index magic accepted")
+	}
+}
+
+// TestReaderNamesVersion1: a trace and index written by the DEFLATE-era
+// format (testdata/v1-deflate.*, recorded by that build) fail with
+// errVersion1, not a generic magic or decompress error.
+func TestReaderNamesVersion1(t *testing.T) {
+	trace, err := os.ReadFile(filepath.Join("testdata", "v1-deflate.jig"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadAll(bytes.NewReader(trace)); !errors.Is(err, errVersion1) {
+		t.Errorf("version-1 trace: got %v, want errVersion1", err)
+	}
+	idx, err := os.ReadFile(filepath.Join("testdata", "v1-deflate.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIndex(bytes.NewReader(idx)); !errors.Is(err, errVersion1) {
+		t.Errorf("version-1 index: got %v, want errVersion1", err)
 	}
 }
 
